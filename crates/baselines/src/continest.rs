@@ -300,7 +300,7 @@ mod tests {
         /// Forward chain 0 → 1 → 2 with unit delays. On the transposed
         /// graph, node u's ball of radius T is its forward-reachable set in
         /// the original graph.
-        fn chain_transposed() -> WeightedStaticGraph {
+        fn reversed_chain() -> WeightedStaticGraph {
             // Transposed edges: 1 → 0, 2 → 1, each delay carried in order.
             WeightedStaticGraph::from_weighted_edges(
                 3,
@@ -310,7 +310,7 @@ mod tests {
 
         #[test]
         fn min_label_in_ball_with_big_budget() {
-            let g = chain_transposed();
+            let g = reversed_chain();
             let delays = vec![1.0, 1.0]; // CSR order on the transposed graph
                                          // Labels: node 2 has the smallest.
             let labels = vec![0.9, 0.5, 0.1];
@@ -321,7 +321,7 @@ mod tests {
 
         #[test]
         fn budget_cuts_far_labels() {
-            let g = chain_transposed();
+            let g = reversed_chain();
             let delays = vec![1.0, 1.0];
             let labels = vec![0.9, 0.5, 0.1];
             // Budget 1.5: Ball(0) = {0,1}, Ball(1) = {1,2}, Ball(2) = {2}.

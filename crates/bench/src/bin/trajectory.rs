@@ -747,10 +747,11 @@ with a <=25 ns monotonic clock the same code meets the target. The untraced rows
 unchanged because the NoopTracer instantiation compiles to the PR 8 code (proven \
 allocation-free by the counting-allocator test in core). \
 Vectorized-kernel PR: the frozen register merge is now vectorized by \
-construction (portable 16-byte-lane byte-max always on, optional runtime-dispatched AVX2 under \
---features simd-avx2, both asserted bit-identical to the scalar reference); query kernels read \
-node-major rows through compile-time-sized 64-byte tiles with beta-literal dispatch per common \
-precision, a tile-major transposed arena is built alongside for column-order scans, and the new \
+construction (one portable 16-byte-lane byte-max kernel, asserted bit-identical to the scalar \
+reference; an opt-in AVX2 build measured slower at every median and was removed); query \
+kernels read node-major rows through compile-time-sized 64-byte tiles with beta-literal \
+dispatch per common precision (IPFA v4 stores only those rows and the per-node estimates — \
+the tile-major copy no kernel read is gone, halving approx arenas), and the new \
 oracle_batch_query_ns rows measure influence_many_frozen: the \
 same 64 queries answered in one call with seed dedup, per-worker scratch, and GROUP=4 \
 query interleaving whose four estimator chains run in one out-of-line absorb loop (keeping the \

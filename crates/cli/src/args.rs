@@ -59,7 +59,7 @@ impl fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &["exact", "frozen", "help", "layered", "metrics", "no-freeze"];
+const BOOLEAN_FLAGS: &[&str] = &["exact", "frozen", "help", "layered", "metrics"];
 
 /// Splits raw arguments (without the program name) into a [`ParsedArgs`].
 pub fn parse(args: &[String]) -> Result<ParsedArgs, ArgError> {

@@ -247,7 +247,6 @@ pub fn topk(args: &ParsedArgs) -> CmdResult {
     let seed: u64 = args.parse_or("seed", 42, "an integer")?;
     let threads = threads_of(args)?;
     let method = args.optional("method").unwrap_or("irs");
-    let no_freeze = args.boolean("no-freeze");
     let recorder = metrics_requested(args).then(MetricsRecorder::new);
     let tracer = trace_requested(args, threads);
     let seeds: Vec<NodeId> = match method {
@@ -264,25 +263,19 @@ pub fn topk(args: &ParsedArgs) -> CmdResult {
                 TraceEvent::BuildReverseScan,
                 metric_u64(net.interactions().len()),
             );
-            let picks = if no_freeze {
-                let oracle = irs.oracle();
-                if let Some(rec) = &recorder {
-                    rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
-                }
-                greedy(&oracle, k, threads, recorder.as_ref(), tracer.as_ref())
-            } else {
-                let fz = begin_root(tracer.as_ref(), TraceEvent::BuildFreeze);
-                let oracle = match &recorder {
-                    Some(rec) => irs.freeze_recorded(rec),
-                    None => irs.freeze(),
-                };
-                end_root(fz, TraceEvent::BuildFreeze, metric_u64(oracle.num_nodes()));
-                if let Some(rec) = &recorder {
-                    rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
-                }
-                greedy(&oracle, k, threads, recorder.as_ref(), tracer.as_ref())
+            let fz = begin_root(tracer.as_ref(), TraceEvent::BuildFreeze);
+            let oracle = match &recorder {
+                Some(rec) => irs.freeze_recorded(rec),
+                None => irs.freeze(),
             };
-            picks.into_iter().map(|s| s.node).collect()
+            end_root(fz, TraceEvent::BuildFreeze, metric_u64(oracle.num_nodes()));
+            if let Some(rec) = &recorder {
+                rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
+            }
+            greedy(&oracle, k, threads, recorder.as_ref(), tracer.as_ref())
+                .into_iter()
+                .map(|s| s.node)
+                .collect()
         }
         "irs-exact" => {
             let scan = begin_root(tracer.as_ref(), TraceEvent::BuildReverseScan);
@@ -295,25 +288,19 @@ pub fn topk(args: &ParsedArgs) -> CmdResult {
                 TraceEvent::BuildReverseScan,
                 metric_u64(net.interactions().len()),
             );
-            let picks = if no_freeze {
-                let oracle = irs.oracle();
-                if let Some(rec) = &recorder {
-                    rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
-                }
-                greedy(&oracle, k, threads, recorder.as_ref(), tracer.as_ref())
-            } else {
-                let fz = begin_root(tracer.as_ref(), TraceEvent::BuildFreeze);
-                let oracle = match &recorder {
-                    Some(rec) => irs.freeze_recorded(rec),
-                    None => irs.freeze(),
-                };
-                end_root(fz, TraceEvent::BuildFreeze, metric_u64(oracle.num_nodes()));
-                if let Some(rec) = &recorder {
-                    rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
-                }
-                greedy(&oracle, k, threads, recorder.as_ref(), tracer.as_ref())
+            let fz = begin_root(tracer.as_ref(), TraceEvent::BuildFreeze);
+            let oracle = match &recorder {
+                Some(rec) => irs.freeze_recorded(rec),
+                None => irs.freeze(),
             };
-            picks.into_iter().map(|s| s.node).collect()
+            end_root(fz, TraceEvent::BuildFreeze, metric_u64(oracle.num_nodes()));
+            if let Some(rec) = &recorder {
+                rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
+            }
+            greedy(&oracle, k, threads, recorder.as_ref(), tracer.as_ref())
+                .into_iter()
+                .map(|s| s.node)
+                .collect()
         }
         "pagerank" => pagerank_top_k(&net.to_static(), k, &PageRankConfig::default()),
         "hd" => high_degree(&net.to_static(), k),
@@ -421,15 +408,9 @@ pub fn simulate(args: &ParsedArgs) -> CmdResult {
         }
         rec.add(Counter::SimRuns, metric_u64(runs));
         let irs = ApproxIrs::compute_with_precision_recorded(net, window, DEFAULT_PRECISION, rec);
-        let estimate = if args.boolean("no-freeze") {
-            let oracle = irs.oracle();
-            rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
-            oracle.influence_recorded(&seeds, rec)
-        } else {
-            let oracle = irs.freeze_recorded(rec);
-            rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
-            oracle.influence_recorded(&seeds, rec)
-        };
+        let oracle = irs.freeze_recorded(rec);
+        rec.gauge(Gauge::OracleHeapBytes, metric_u64(oracle.heap_bytes()));
+        let estimate = oracle.influence_recorded(&seeds, rec);
         println!("irs oracle estimate Inf(S) = {estimate:.1}");
         emit_metrics(args, rec)?;
     }
@@ -1589,11 +1570,11 @@ USAGE:
   infprop irs <file> (--window-pct P | --window W) [--exact] [--beta B] [--top K]
   infprop topk <file> --k K (--window-pct P | --window W)
                  [--method irs|irs-exact|pagerank|hd|shd|degree-discount|skim|cte]
-                 [--seed S] [--threads T] [--no-freeze]
+                 [--seed S] [--threads T]
                  [--metrics] [--metrics-out FILE] [--trace-out FILE]
   infprop simulate <file> --seeds a,b,c (--window-pct P | --window W)
                  [--p F] [--runs N] [--model tcic|tclt] [--seed S] [--threads T]
-                 [--no-freeze] [--metrics] [--metrics-out FILE] [--trace-out FILE]
+                 [--metrics] [--metrics-out FILE] [--trace-out FILE]
   infprop channel <file> --from U --to V (--window-pct P | --window W)
   infprop generate --profile enron|lkml|facebook|higgs|slashdot|us2016
                  --scale S --out FILE [--seed N]

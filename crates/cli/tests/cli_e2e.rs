@@ -552,29 +552,6 @@ fn layered_sketch_oracle_and_query_batches() {
 }
 
 #[test]
-fn no_freeze_matches_frozen_answers() {
-    let dir = tempdir("no-freeze");
-    let net = sample_network(&dir);
-    let base = &[
-        "topk",
-        &net,
-        "--k",
-        "3",
-        "--window-pct",
-        "20",
-        "--threads",
-        "1",
-    ];
-    let frozen = run(base);
-    let mut live: Vec<&str> = base.to_vec();
-    live.push("--no-freeze");
-    let live_out = run(&live);
-    assert!(frozen.status.success() && live_out.status.success());
-    assert_eq!(stdout(&frozen), stdout(&live_out));
-    std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
 fn stats_reports_shape_metrics() {
     let dir = tempdir("shape-stats");
     let net = sample_network(&dir);

@@ -1,7 +1,7 @@
 //! Owned arena byte storage: the backing store of the frozen oracles.
 //!
 //! [`ArenaBytes`] owns one contiguous read-only byte image — a frozen
-//! arena file (IPFE v2 / IPFA v3, see the `persist` layer) or an image
+//! arena file (IPFE v2 / IPFA v4, see the `persist` layer) or an image
 //! built in memory by `freeze()` — and hands out `&[u8]` views the frozen
 //! oracles borrow their sections from. Two acquisition paths exist:
 //!
@@ -13,8 +13,8 @@
 //! * **Memory map** ([`ArenaBytes::open`] with `--features mmap` on unix):
 //!   the file is mapped `PROT_READ | MAP_PRIVATE` and borrowed in place —
 //!   no copy, no per-section allocation, pages fault in on first touch.
-//!   The `unsafe` lives in one cfg-gated module mirroring the `simd-avx2`
-//!   precedent in `kernel.rs`; everything else in the workspace stays
+//!   The `unsafe` lives in one cfg-gated submodule (`mmap_impl`), the
+//!   only `unsafe` in the library crates; everything else stays
 //!   `forbid(unsafe_code)`.
 //!
 //! Safety of the mapped variant rests on the persist layer's write
@@ -217,8 +217,8 @@ fn file_len(file: &File) -> io::Result<usize> {
 
 /// The zero-copy mapping: raw `mmap`/`munmap` bindings (std already links
 /// libc on unix targets — no new dependency), cfg-gated behind
-/// `--features mmap` exactly like the AVX2 kernel module, so the default
-/// build keeps `forbid(unsafe_code)` intact.
+/// `--features mmap` so the default build keeps `forbid(unsafe_code)`
+/// intact.
 ///
 /// # Safety argument
 ///

@@ -100,9 +100,8 @@ pub(crate) fn window_tail(
 
 /// Register-wise maximum folded into `acc` — the dominance merge of
 /// collapsed HLL rows, routed through the wide-lane kernel
-/// ([`crate::kernel::merge_max`]: portable 16-byte lanes always, AVX2 when
-/// compiled in and detected). Bytewise `max` is exact on every path, so the layered
-/// dominance guarantees are untouched.
+/// ([`crate::kernel::merge_max`], portable 16-byte lanes). Bytewise `max`
+/// is exact, so the layered dominance guarantees are untouched.
 #[inline]
 // xtask-contract: alloc-free, no-panic
 fn max_into(acc: &mut [u8], src: &[u8]) {

@@ -16,14 +16,15 @@
 //!   each node's slice sorted by `NodeId` exactly like its live summary.
 //! * [`FrozenApproxOracle`] — one flat `β`-bytes-per-node register arena
 //!   (the per-cell maxima of the versioned sketches, i.e. the same
-//!   collapse [`ApproxOracle`](crate::ApproxOracle) performs), its
-//!   tile-major transpose, plus the per-node estimates **precomputed at
-//!   freeze time**, turning the `individuals` sweep and every CELF
-//!   first-round probe into a table read.
+//!   collapse [`ApproxOracle`](crate::ApproxOracle) performs) plus the
+//!   per-node estimates **precomputed at freeze time**, turning the
+//!   `individuals` sweep and every CELF first-round probe into a table
+//!   read. These are all the query kernels read: a seed's node-major
+//!   row is one contiguous β-byte run.
 //!
 //! # One image, in memory and on disk
 //!
-//! Since IPFE layout v2 / IPFA layout v3 each arena *is* its on-disk
+//! Each arena (IPFE layout v2 / IPFA layout v4) *is* its on-disk
 //! image: one contiguous [`ArenaBytes`] buffer holding the format header
 //! followed by every section, each section padded to start on an
 //! [`ARENA_ALIGN`]-byte boundary (see [`layout`]). The persist layer
@@ -52,8 +53,8 @@ use infprop_temporal_graph::{NodeId, Timestamp, Window};
 use std::fmt;
 use std::ops::Range;
 
-/// Merge-block and transpose-tile width in bytes — one cache line, clamped
-/// to `β` for small precisions (`step = min(TILE, β)`).
+/// Merge-block width in bytes — one cache line, clamped to `β` for small
+/// precisions (`step = min(TILE, β)`).
 pub(crate) const TILE: usize = 64;
 
 /// Queries interleaved per group by the approx batch kernel. The latency
@@ -65,7 +66,7 @@ pub(crate) const TILE: usize = 64;
 const GROUP: usize = 4;
 
 /// The arena image layout shared by the in-memory oracles and the persist
-/// codecs: IPFE layout v2 and IPFA layout v3 place every section on an
+/// codecs: IPFE layout v2 and IPFA layout v4 place every section on an
 /// [`ARENA_ALIGN`]-byte boundary (gaps zero-filled) so a file loaded — or
 /// mapped — into an aligned buffer can serve each section as a borrowed
 /// slice.
@@ -73,9 +74,9 @@ const GROUP: usize = 4;
 /// * IPFE v2: `header (25 B) | pad | offsets ((n+1)×4 B u32 LE) | pad |
 ///   entries (total×12 B)` — header = magic `IPFE`, version, window `i64`,
 ///   `n` `u32`, `total` `u64`, all little-endian.
-/// * IPFA v3: `header (10 B) | pad | registers (n·β B) | pad |
-///   transposed (n·β B) | pad | individuals (n×8 B f64 LE bits)` —
-///   header = magic `IPFA`, version, precision, `n` `u32`.
+/// * IPFA v4: `header (10 B) | pad | registers (n·β B, node-major) | pad |
+///   individuals (n×8 B f64 LE bits)` — header = magic `IPFA`, version,
+///   precision, `n` `u32`.
 pub(crate) mod layout {
     use crate::arena::ARENA_ALIGN;
 
@@ -85,9 +86,9 @@ pub(crate) mod layout {
     pub(crate) const APPROX_MAGIC: &[u8; 4] = b"IPFA";
     /// Current IPFE layout version: aligned sections, image == arena.
     pub(crate) const EXACT_VERSION: u8 = 2;
-    /// Current IPFA layout version: aligned sections plus the precomputed
-    /// per-node estimates stored after the register sections.
-    pub(crate) const APPROX_VERSION: u8 = 3;
+    /// Current IPFA layout version: aligned node-major registers plus the
+    /// precomputed per-node estimates.
+    pub(crate) const APPROX_VERSION: u8 = 4;
     /// IPFE header bytes: magic, version, window, `n`, `total`.
     pub(crate) const EXACT_HEADER: usize = 25;
     /// IPFA header bytes: magic, version, precision, `n`.
@@ -108,13 +109,12 @@ pub(crate) mod layout {
         (offsets_at, entries_at, entries_at + total * ENTRY_BYTES)
     }
 
-    /// IPFA v3 section positions for an `n`-node, `β`-register arena:
-    /// `(registers_at, transposed_at, individuals_at, image_len)`.
-    pub(crate) fn approx_sections(num_nodes: usize, beta: usize) -> (usize, usize, usize, usize) {
+    /// IPFA v4 section positions for an `n`-node, `β`-register arena:
+    /// `(registers_at, individuals_at, image_len)`.
+    pub(crate) fn approx_sections(num_nodes: usize, beta: usize) -> (usize, usize, usize) {
         let regs_at = align_up(APPROX_HEADER);
-        let trans_at = align_up(regs_at + num_nodes * beta);
-        let indiv_at = align_up(trans_at + num_nodes * beta);
-        (regs_at, trans_at, indiv_at, indiv_at + num_nodes * 8)
+        let indiv_at = align_up(regs_at + num_nodes * beta);
+        (regs_at, indiv_at, indiv_at + num_nodes * 8)
     }
 }
 
@@ -151,7 +151,7 @@ fn write_exact_header(img: &mut [u8], window: Window, n: usize, total: usize) {
     img[17..25].copy_from_slice(&metric_u64(total).to_le_bytes());
 }
 
-/// Writes the 10-byte IPFA v3 header. Callers have checked that `n` fits
+/// Writes the 10-byte IPFA v4 header. Callers have checked that `n` fits
 /// `u32` (the format's node field).
 fn write_approx_header(img: &mut [u8], precision: u8, n: usize) {
     img[..4].copy_from_slice(layout::APPROX_MAGIC);
@@ -163,7 +163,7 @@ fn write_approx_header(img: &mut [u8], precision: u8, n: usize) {
 /// A node's frozen summary, borrowed directly from the arena image as
 /// encoded 12-byte little-endian records and decoded entry-by-entry on
 /// the fly — the zero-copy replacement for the `&[(NodeId, Timestamp)]`
-/// slices the pre-v2 arenas materialized at load time. Decoding is two
+/// slices an eager decode would materialize at load time. Decoding is two
 /// `from_le_bytes` per entry (free next to the cache miss that fetches
 /// the record), and a mapped arena never pays a per-node allocation.
 ///
@@ -343,43 +343,6 @@ impl FrozenExactOracle {
                 put_entry(&mut img, at, v, t);
                 at += layout::ENTRY_BYTES;
             }
-        }
-        Self::from_image(window, n, total, ArenaBytes::from_vec(img))
-    }
-
-    /// Reassembles an arena from decoded CSR parts (legacy-format loads
-    /// and tests). The caller must have validated the CSR shape; this
-    /// constructor only asserts the cheap global frame, then re-encodes
-    /// the parts into a canonical v2 image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offsets` is empty, does not start at 0, does not end at
-    /// `entries.len()`, or frames more than `u32::MAX` nodes.
-    pub fn from_parts(
-        window: Window,
-        offsets: Vec<u32>,
-        entries: Vec<(NodeId, Timestamp)>,
-    ) -> Self {
-        assert!(
-            offsets.first() == Some(&0)
-                && offsets.last().map(|&e| e as usize) == Some(entries.len()), // xtask-allow: no-lossy-cast (u32 fits usize)
-            "offsets must frame the entries array"
-        );
-        let n = offsets.len() - 1;
-        assert!(
-            u32::try_from(n).is_ok(),
-            "frozen arena limited to u32::MAX nodes, got {n}"
-        );
-        let total = entries.len();
-        let (offsets_at, entries_at, image_len) = layout::exact_sections(n, total);
-        let mut img = vec![0u8; image_len];
-        write_exact_header(&mut img, window, n, total);
-        for (i, &o) in offsets.iter().enumerate() {
-            put_u32(&mut img, offsets_at + i * 4, o);
-        }
-        for (i, &(v, t)) in entries.iter().enumerate() {
-            put_entry(&mut img, entries_at + i * layout::ENTRY_BYTES, v, t);
         }
         Self::from_image(window, n, total, ArenaBytes::from_vec(img))
     }
@@ -666,16 +629,15 @@ impl InfluenceOracle for FrozenExactOracle {
 
 /// Collapsed vHLL sketches frozen into a flat register arena with
 /// precomputed per-node estimates, all backed by one contiguous
-/// [`ArenaBytes`] image in the IPFA v3 layout (see the module docs and
-/// [`layout`]). The node-major registers, the tile-major transpose, and
-/// the stored estimates are borrowed sections of the image — a mapped
-/// file is queryable without copying or recomputing any of them.
+/// [`ArenaBytes`] image in the IPFA v4 layout (see the module docs and
+/// [`layout`]). The node-major registers and the stored estimates are
+/// borrowed sections of the image — a mapped file is queryable without
+/// copying or recomputing either.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FrozenApproxOracle {
     precision: u8,
     num_nodes: usize,
     regs_at: usize,
-    trans_at: usize,
     indiv_at: usize,
     data: ArenaBytes,
 }
@@ -715,9 +677,8 @@ impl FrozenApproxOracle {
     }
 
     /// Builds the arena from a flat register array (`β` bytes per node):
-    /// the transpose and per-node estimates are computed once here and
-    /// stored in the image, so loading the persisted arena recomputes
-    /// neither.
+    /// the per-node estimates are computed once here and stored in the
+    /// image, so loading the persisted arena does not recompute them.
     ///
     /// # Panics
     ///
@@ -734,12 +695,10 @@ impl FrozenApproxOracle {
             u32::try_from(n).is_ok(),
             "frozen arena limited to u32::MAX nodes, got {n}"
         );
-        let transposed = transpose_registers(precision, &registers);
-        let (regs_at, trans_at, indiv_at, image_len) = layout::approx_sections(n, beta);
+        let (regs_at, indiv_at, image_len) = layout::approx_sections(n, beta);
         let mut img = vec![0u8; image_len];
         write_approx_header(&mut img, precision, n);
         img[regs_at..regs_at + n * beta].copy_from_slice(&registers);
-        img[trans_at..trans_at + n * beta].copy_from_slice(&transposed);
         for (i, row) in registers.chunks_exact(beta).enumerate() {
             let at = indiv_at + i * 8;
             img[at..at + 8].copy_from_slice(&estimate_from_registers(row).to_le_bytes());
@@ -747,7 +706,7 @@ impl FrozenApproxOracle {
         Self::from_image(precision, n, ArenaBytes::from_vec(img))
     }
 
-    /// Wraps an already-validated IPFA v3 image: `data` must hold exactly
+    /// Wraps an already-validated IPFA v4 image: `data` must hold exactly
     /// the sections [`layout::approx_sections`] describes for
     /// (`num_nodes`, `β = 2^precision`) under a matching header. The
     /// constructors above build such images from trusted registers; the
@@ -758,13 +717,12 @@ impl FrozenApproxOracle {
     /// Panics if `data`'s length does not match the layout.
     pub(crate) fn from_image(precision: u8, num_nodes: usize, data: ArenaBytes) -> Self {
         let beta = 1usize << precision;
-        let (regs_at, trans_at, indiv_at, image_len) = layout::approx_sections(num_nodes, beta);
+        let (regs_at, indiv_at, image_len) = layout::approx_sections(num_nodes, beta);
         assert_eq!(data.len(), image_len, "image length must match its header");
         FrozenApproxOracle {
             precision,
             num_nodes,
             regs_at,
-            trans_at,
             indiv_at,
             data,
         }
@@ -801,16 +759,6 @@ impl FrozenApproxOracle {
         &self.data.as_slice()[self.regs_at..self.regs_at + len]
     }
 
-    /// The register-transposed (tile-major) arena the query kernels
-    /// stream — same bytes as [`registers`](Self::registers), reordered by
-    /// [`transpose_registers`], borrowed from the image.
-    #[inline]
-    // xtask-contract: alloc-free, kernel
-    pub fn transposed(&self) -> &[u8] {
-        let len = self.num_nodes << self.precision;
-        &self.data.as_slice()[self.trans_at..self.trans_at + len]
-    }
-
     /// The stored estimate of node index `i`, decoded from the image's
     /// individuals section — the exact bits `estimate_from_registers`
     /// produced at freeze time.
@@ -831,27 +779,10 @@ impl FrozenApproxOracle {
         ])
     }
 
-    /// Node `u`'s `step = min(TILE, β)` registers of transpose tile
-    /// `tile` — one contiguous `step`-byte chunk of the tile-major arena.
-    /// This is the tile-major counterpart of
-    /// [`node_registers`](Self::node_registers): consecutive nodes' chunks
-    /// of one tile are adjacent, so kernels that sweep a fixed register
-    /// range across *many* nodes (column analytics, seed-id-local scans)
-    /// stream it sequentially.
-    #[inline]
-    // xtask-contract: alloc-free, kernel
-    pub fn tile_chunk(&self, tile: usize, node: NodeId) -> &[u8] {
-        let step = TILE.min(1usize << self.precision);
-        let lo = (tile * self.num_nodes + node.index()) * step;
-        &self.transposed()[lo..lo + step]
-    }
-
     /// Node `u`'s `step = min(TILE, β)` registers of tile `tile`, read from
-    /// the node-major arena — the query kernels' layout of choice: a seed's
-    /// row is one contiguous β-byte run, so the first tile's touch pulls
-    /// the whole row through the hardware prefetcher and every later tile
-    /// hits L1 (the tile-major arena scatters the same bytes 64 B at a
-    /// time across `n · TILE`-byte regions, one cold line per touch).
+    /// the node-major arena: a seed's row is one contiguous β-byte run, so
+    /// the first tile's touch pulls the whole row through the hardware
+    /// prefetcher and every later tile hits L1.
     #[inline]
     // xtask-contract: alloc-free, kernel
     fn row_chunk(&self, tile: usize, node: NodeId) -> &[u8] {
@@ -1110,9 +1041,8 @@ impl FrozenApproxOracle {
     /// Validates the arena: every register within the sketch range
     /// invariant `ρ ≤ 64 − k + 1` (any larger value cannot have been
     /// produced by `ApproxAdd`/`ApproxMerge` and would bias estimates),
-    /// and the image's derived sections — the tile-major transpose and
-    /// the stored per-node estimates — consistent with the node-major
-    /// registers they were computed from.
+    /// and the stored per-node estimates consistent with the registers
+    /// they were computed from.
     pub fn validate(&self) -> Result<(), InvariantViolation> {
         self.validate_threads(1)
     }
@@ -1121,21 +1051,11 @@ impl FrozenApproxOracle {
     /// workers; reports the lowest failing node, like the serial loop.
     pub fn validate_threads(&self, threads: usize) -> Result<(), InvariantViolation> {
         let max_rho = 64 - self.precision + 1;
-        let beta = 1usize << self.precision;
-        let step = TILE.min(beta);
         crate::par::try_for_each_indexed(self.num_nodes, threads, |i| {
             let node = NodeId::from_index(i);
             let row = self.node_registers(node);
             if let Some(&rho) = row.iter().find(|&&r| r > max_rho) {
                 return Err(InvariantViolation::RegisterOutOfRange { node, rho, max_rho });
-            }
-            for t in 0..beta / step {
-                if self.tile_chunk(t, node) != &row[t * step..(t + 1) * step] {
-                    return Err(InvariantViolation::FrozenSectionMismatch {
-                        node,
-                        section: "transposed",
-                    });
-                }
             }
             if self.individual_at(i).to_bits() != estimate_from_registers(row).to_bits() {
                 return Err(InvariantViolation::FrozenSectionMismatch {
@@ -1149,8 +1069,8 @@ impl FrozenApproxOracle {
 }
 
 impl HeapBytes for FrozenApproxOracle {
-    /// Heap bytes owned by the arena image (both register layouts plus the
-    /// stored estimates) — zero when the image is a file mapping rather
+    /// Heap bytes owned by the arena image (the registers plus the stored
+    /// estimates) — zero when the image is a file mapping rather
     /// than owned memory.
     fn heap_bytes(&self) -> usize {
         self.data.heap_bytes()
@@ -1166,8 +1086,7 @@ impl InfluenceOracle for FrozenApproxOracle {
 
     /// Fused k-way union estimate: merges the seeds' node-major register
     /// rows tile by tile into a small stack buffer through the wide-lane
-    /// kernel ([`kernel::merge_max`] — portable 16-byte lanes always, AVX2
-    /// when compiled in and detected) and streams each merged tile
+    /// kernel ([`kernel::merge_max`], portable 16-byte lanes) and streams each merged tile
     /// straight into the shared estimator — no union allocation, no full
     /// merged array, no second pass. When `β ≥ TILE` the accumulator is a
     /// whole fixed-size tile, so the merge compiles to full-width vector
@@ -1233,29 +1152,6 @@ impl InfluenceOracle for FrozenApproxOracle {
             *union = self.empty_union();
         }
     }
-}
-
-/// Rewrites a node-major register arena (`β` bytes per node) into the
-/// tile-major layout the frozen query kernels stream: for tile `t` of
-/// `step = min(TILE, β)` registers, node `u`'s registers
-/// `t·step .. (t+1)·step` live at `transposed[(t·n + u)·step ..][..step]`.
-/// A multi-seed union then reads one contiguous `step`-byte chunk per seed
-/// per tile — chunks of id-adjacent seeds share cache lines — instead of
-/// striding `β` bytes apart through the node-major arena.
-pub(crate) fn transpose_registers(precision: u8, registers: &[u8]) -> Vec<u8> {
-    let beta = 1usize << precision;
-    let step = TILE.min(beta);
-    let tiles = beta / step;
-    let n = registers.len() / beta;
-    let mut out = vec![0u8; registers.len()];
-    for u in 0..n {
-        for t in 0..tiles {
-            let src = u * beta + t * step;
-            let dst = (t * n + u) * step;
-            out[dst..dst + step].copy_from_slice(&registers[src..src + step]);
-        }
-    }
-    out
 }
 
 /// Publishes a frozen arena's size to the `frozen.bytes` gauge — shared by
@@ -1384,11 +1280,16 @@ mod tests {
 
         let approx = ApproxIrs::compute(&net, Window(3)).freeze();
         let beta = 1usize << approx.precision();
-        let (r_at, t_at, i_at, alen) = layout::approx_sections(approx.num_nodes(), beta);
+        let n = approx.num_nodes();
+        let (r_at, i_at, alen) = layout::approx_sections(n, beta);
         assert_eq!(approx.image().len(), alen);
         assert_eq!(r_at % ARENA_ALIGN, 0);
-        assert_eq!(t_at % ARENA_ALIGN, 0);
         assert_eq!(i_at % ARENA_ALIGN, 0);
+        // IPFA v4 holds exactly one register layout plus the estimates.
+        assert_eq!(
+            alen,
+            layout::align_up(layout::APPROX_HEADER) + layout::align_up(n * beta) + n * 8
+        );
         assert_eq!(&approx.image().as_slice()[..4], layout::APPROX_MAGIC);
         assert_eq!(approx.image().as_slice()[4], layout::APPROX_VERSION);
 
@@ -1401,7 +1302,10 @@ mod tests {
     #[test]
     fn entries_slice_decodes_and_compares() {
         let entries = vec![(NodeId(1), Timestamp(5)), (NodeId(3), Timestamp(-2))];
-        let arena = FrozenExactOracle::from_parts(Window(3), vec![0, 2, 2, 2, 2], entries.clone());
+        let arena = FrozenExactOracle::from_summaries(
+            Window(3),
+            &[entries.clone(), vec![], vec![], vec![]],
+        );
         let s = arena.summary(NodeId(0));
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
@@ -1435,7 +1339,7 @@ mod tests {
     #[test]
     fn validate_rejects_unsorted_frozen_entries() {
         let entries = vec![(NodeId(2), Timestamp(5)), (NodeId(1), Timestamp(6))];
-        let arena = FrozenExactOracle::from_parts(Window(3), vec![0, 2, 2, 2], entries);
+        let arena = FrozenExactOracle::from_summaries(Window(3), &[entries, vec![], vec![]]);
         assert!(matches!(
             arena.validate(),
             Err(InvariantViolation::UnsortedSummary { node: NodeId(0) })
@@ -1445,7 +1349,7 @@ mod tests {
     #[test]
     fn validate_rejects_target_outside_universe() {
         let entries = vec![(NodeId(9), Timestamp(5))];
-        let arena = FrozenExactOracle::from_parts(Window(3), vec![0, 1, 1], entries);
+        let arena = FrozenExactOracle::from_summaries(Window(3), &[entries, vec![]]);
         assert_eq!(
             arena.validate(),
             Err(InvariantViolation::TargetOutOfUniverse {
@@ -1463,21 +1367,6 @@ mod tests {
         assert!(frozen.validate().is_ok());
 
         let mut img = frozen.image().as_slice().to_vec();
-        img[frozen.trans_at] ^= 1;
-        let bad = FrozenApproxOracle::from_image(
-            frozen.precision(),
-            frozen.num_nodes(),
-            ArenaBytes::from_vec(img),
-        );
-        assert!(matches!(
-            bad.validate(),
-            Err(InvariantViolation::FrozenSectionMismatch {
-                section: "transposed",
-                ..
-            })
-        ));
-
-        let mut img = frozen.image().as_slice().to_vec();
         img[frozen.indiv_at] ^= 1;
         let bad = FrozenApproxOracle::from_image(
             frozen.precision(),
@@ -1491,27 +1380,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn transposed_arena_holds_every_register() {
-        let net = figure1a();
-        for precision in [4u8, 7, 9] {
-            let irs = ApproxIrs::compute_with_precision(&net, Window(3), precision);
-            let frozen = irs.freeze();
-            let beta = 1usize << precision;
-            let step = TILE.min(beta);
-            let n = frozen.num_nodes();
-            assert_eq!(frozen.transposed().len(), frozen.registers().len());
-            for u in 0..n {
-                let node = NodeId::from_index(u);
-                for t in 0..beta / step {
-                    let chunk = frozen.tile_chunk(t, node);
-                    let row = &frozen.node_registers(node)[t * step..(t + 1) * step];
-                    assert_eq!(chunk, row, "k={precision} u={u} t={t}");
-                }
-            }
-        }
     }
 
     /// Seed-set shapes that exercise every batch arm: empty sets,

@@ -84,14 +84,14 @@ pub enum InvariantViolation {
         /// The arena's universe size.
         num_nodes: usize,
     },
-    /// A derived section of a frozen arena image (the tile-major transpose
-    /// or the stored per-node estimates) disagrees with the node-major
-    /// registers it was computed from — the sections answer interchangeable
-    /// queries, so a mismatch means silently divergent answers.
+    /// A derived section of a frozen arena image (the stored per-node
+    /// estimates) disagrees with the node-major registers it was computed
+    /// from — singleton queries read the stored estimate while unions read
+    /// the registers, so a mismatch means silently divergent answers.
     FrozenSectionMismatch {
         /// The first node whose derived data is inconsistent.
         node: NodeId,
-        /// The inconsistent section (`"transposed"` or `"individuals"`).
+        /// The inconsistent section (`"individuals"`).
         section: &'static str,
     },
 }

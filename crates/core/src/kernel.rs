@@ -1,38 +1,24 @@
-//! Wide-lane register-merge kernels for the frozen query path.
+//! Wide-lane register-merge kernel for the frozen query path.
 //!
 //! Every approximate influence query reduces to the same inner operation:
 //! fold one β-byte register row into an accumulator row with a bytewise
-//! unsigned maximum (the HLL dominance merge). PR 5 wrote that fold as a
-//! scalar `if b > *a` loop and relied on the auto-vectorizer; this module
-//! makes the merge **vectorized by construction**:
+//! unsigned maximum (the HLL dominance merge). This module makes that
+//! merge **vectorized by construction**:
 //!
-//! * [`merge_max_lanes`] — the always-on portable baseline: a branch-free
+//! * [`merge_max_lanes`] — the one production kernel: a branch-free
 //!   bytewise maximum over 16-byte lane blocks whose inner loop is the
 //!   exact shape LLVM lowers to one `pmaxub`/`vpmaxub` per block on x86
 //!   (and the equivalent byte-max on other SIMD ISAs), with a scalar pass
-//!   closing ragged tails. No `unsafe`, no platform assumptions, exact
-//!   for all byte values — and measurably as fast as the best the
-//!   auto-vectorizer ever did to the PR 5 loop, without depending on it
-//!   recognizing a branchy compare.
-//! * [`merge_max_swar`]/[`max_u8x8`] — the word-parallel alternative:
-//!   registers packed eight at a time into `u64` words and merged with a
-//!   branch-free SWAR bytewise maximum. Guaranteed wide even on targets
-//!   where the vectorizer has no SIMD to work with, and proptested as an
-//!   independent implementation of the same merge (on SIMD-capable
-//!   hardware the 16-byte lane form wins — one `pmaxub` replaces ~12 ALU
-//!   ops — which is why [`merge_max`] dispatches to lanes, not words).
-//! * An optional AVX2 path (feature `simd-avx2`, `x86_64` only) that runs
-//!   the same merge 32 bytes per instruction via `_mm256_max_epu8`,
-//!   runtime-dispatched with `is_x86_feature_detected!`. All `unsafe` is
-//!   confined to that one `#[cfg]`-gated module; the default build keeps
-//!   the crate `unsafe`-free.
-//! * [`merge_max_scalar`] — the PR 5 reference loop, kept as the parity
-//!   baseline the proptests compare every wide path against.
+//!   closing ragged tails. No `unsafe`, no platform assumptions, exact for
+//!   all byte values, and no dependence on the vectorizer recognizing a
+//!   branchy compare. [`merge_max`] is the name the query paths call it by.
+//! * [`merge_max_scalar`] — the plain `if b > *a` reference loop, kept as
+//!   the parity baseline the proptests compare the lane kernel against.
 //!
-//! All three produce **bit-identical** accumulator contents for any input
+//! Both produce **bit-identical** accumulator contents for any input
 //! (`max` on `u8` is exact — there is no float in sight until the merged
-//! registers reach the estimator), so callers may dispatch freely without
-//! perturbing the frozen-vs-live parity guarantees.
+//! registers reach the estimator), so the frozen-vs-live parity
+//! guarantees do not depend on which one runs.
 //!
 //! The kernels themselves carry no instrumentation: both the recorder
 //! ([`crate::obs`]) and the causal tracer ([`crate::trace`]) observe the
@@ -43,71 +29,12 @@
 //! `NoopTracer` path never allocates, and the parity proptests re-check
 //! bit-identical answers with the live ring tracer attached.
 
-/// Byte width of one SWAR lane group (one `u64` word).
-pub const SWAR_LANES: usize = 8;
-
-/// High (sign) bit of every byte lane in a `u64` word.
-const HI: u64 = 0x8080_8080_8080_8080;
-
-/// Branch-free per-byte unsigned maximum of two packed `u64` words: lane
-/// `i` of the result is `max(x_i, y_i)` for all eight byte lanes.
-///
-/// The comparison is split per lane into its high bit and low seven bits:
-/// setting the guard (high) bit of every `x` lane and subtracting the
-/// 7-bit `y` lane can never borrow across lanes, and the guard survives
-/// exactly when `low7(x) ≥ low7(y)`. A lane's full unsigned `x ≥ y` is
-/// then `high(x) > high(y)`, or equal high bits and `low7(x) ≥ low7(y)`.
-/// The per-lane 0/1 verdict is widened to a full-byte select mask with a
-/// `0xFF` multiply (lanes hold 0 or 1, so no cross-lane carries).
-// xtask-contract: alloc-free, kernel
-#[inline]
-pub fn max_u8x8(x: u64, y: u64) -> u64 {
-    let ge_low = ((x | HI).wrapping_sub(y & !HI)) & HI;
-    let xh = x & HI;
-    let yh = y & HI;
-    let eq_hi = !(xh ^ yh) & HI;
-    let ge = (xh & !yh) | (eq_hi & ge_low);
-    let mask = (ge >> 7).wrapping_mul(0xFF);
-    (x & mask) | (y & !mask)
-}
-
-/// Scalar bytewise-max fold — the PR 5 reference loop. Merges the common
+/// Scalar bytewise-max fold — the parity reference loop. Merges the common
 /// prefix of the two slices (`zip` semantics).
 // xtask-contract: alloc-free, kernel
 #[inline]
 pub fn merge_max_scalar(acc: &mut [u8], src: &[u8]) {
     for (a, &b) in acc.iter_mut().zip(src) {
-        if b > *a {
-            *a = b;
-        }
-    }
-}
-
-/// SWAR bytewise-max fold: `acc[i] = max(acc[i], src[i])` eight bytes per
-/// step via [`max_u8x8`], with a scalar tail for lengths not a multiple of
-/// [`SWAR_LANES`] (register rows are powers of two ≥ 16, so the tail is
-/// empty on every arena path). Bit-identical to [`merge_max_scalar`],
-/// including `zip` semantics on length-mismatched slices: the tail resumes
-/// at the first byte the word loop did not cover and stops at the shorter
-/// slice.
-// xtask-contract: alloc-free, kernel
-#[inline]
-pub fn merge_max_swar(acc: &mut [u8], src: &[u8]) {
-    let mut words = 0usize;
-    for (a8, s8) in acc
-        .chunks_exact_mut(SWAR_LANES)
-        .zip(src.chunks_exact(SWAR_LANES))
-    {
-        let mut aw = [0u8; SWAR_LANES];
-        aw.copy_from_slice(a8);
-        let mut sw = [0u8; SWAR_LANES];
-        sw.copy_from_slice(s8);
-        let merged = max_u8x8(u64::from_le_bytes(aw), u64::from_le_bytes(sw));
-        a8.copy_from_slice(&merged.to_le_bytes());
-        words += 1;
-    }
-    let done = words * SWAR_LANES;
-    for (a, &b) in acc.iter_mut().skip(done).zip(src.iter().skip(done)) {
         if b > *a {
             *a = b;
         }
@@ -145,161 +72,30 @@ pub fn merge_max_lanes(acc: &mut [u8], src: &[u8]) {
     }
 }
 
-/// Bytewise-max fold through the widest lanes available at runtime: the
-/// AVX2 path when the `simd-avx2` feature is compiled in and the CPU
-/// supports it, the portable 16-byte lane kernel otherwise. Every
-/// dispatch target writes bit-identical accumulator contents.
+/// The merge the frozen and layered query paths call:
+/// [`merge_max_lanes`].
 // xtask-contract: alloc-free, kernel
 #[inline]
 pub fn merge_max(acc: &mut [u8], src: &[u8]) {
-    #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-    if avx2::try_merge_max(acc, src) {
-        return;
-    }
     merge_max_lanes(acc, src);
-}
-
-/// AVX2 bytewise-max fold, or `false` without touching `acc` when the
-/// running CPU lacks AVX2 (or the path is compiled out). Exposed so the
-/// parity proptests can exercise the wide path explicitly when available.
-// xtask-contract: alloc-free, kernel
-#[inline]
-pub fn try_merge_max_avx2(acc: &mut [u8], src: &[u8]) -> bool {
-    #[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-    {
-        avx2::try_merge_max(acc, src)
-    }
-    #[cfg(not(all(feature = "simd-avx2", target_arch = "x86_64")))]
-    {
-        let _ = (acc, src);
-        false
-    }
-}
-
-/// The one `unsafe`-scoped corner of the workspace: 32-lane register
-/// merges through `core::arch` AVX2 intrinsics, compiled only under
-/// `--features simd-avx2` on `x86_64` and entered only after a runtime
-/// CPU-feature check. `_mm256_max_epu8` computes the same per-byte
-/// unsigned maximum as [`max_u8x8`], so the path is bit-identical to the
-/// portable kernels (proven by the kernel parity proptests).
-#[cfg(all(feature = "simd-avx2", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod avx2 {
-    use core::arch::x86_64::{__m256i, _mm256_loadu_si256, _mm256_max_epu8, _mm256_storeu_si256};
-
-    /// Width of one AVX2 vector in bytes.
-    const AVX2_LANES: usize = 32;
-
-    /// Merges with `_mm256_max_epu8` when the CPU supports AVX2; returns
-    /// `false` (leaving `acc` untouched) otherwise.
-    #[inline]
-    pub(super) fn try_merge_max(acc: &mut [u8], src: &[u8]) -> bool {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return false;
-        }
-        // SAFETY: the detection above proves the `avx2` target feature is
-        // available on the running CPU, the only requirement of the
-        // `#[target_feature]` function.
-        unsafe { merge_max_avx2(acc, src) };
-        true
-    }
-
-    /// The 32-lane merge loop, compiled with the AVX2 feature enabled so
-    /// the intrinsics inline into one `vpmaxub` per step.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support at runtime.
-    // xtask-contract: alloc-free, kernel
-    #[target_feature(enable = "avx2")]
-    unsafe fn merge_max_avx2(acc: &mut [u8], src: &[u8]) {
-        let mut vectors = 0usize;
-        for (a32, s32) in acc
-            .chunks_exact_mut(AVX2_LANES)
-            .zip(src.chunks_exact(AVX2_LANES))
-        {
-            // SAFETY: both chunks are exactly 32 bytes, and the unaligned
-            // load/store intrinsics carry no alignment requirement.
-            unsafe {
-                let a = _mm256_loadu_si256(a32.as_ptr().cast::<__m256i>());
-                let s = _mm256_loadu_si256(s32.as_ptr().cast::<__m256i>());
-                _mm256_storeu_si256(a32.as_mut_ptr().cast::<__m256i>(), _mm256_max_epu8(a, s));
-            }
-            vectors += 1;
-        }
-        // Same zip-semantics tail as the SWAR kernel: resume at the first
-        // uncovered byte, stop at the shorter slice.
-        let done = vectors * AVX2_LANES;
-        for (a, &b) in acc.iter_mut().skip(done).zip(src.iter().skip(done)) {
-            if b > *a {
-                *a = b;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn packed(bytes: [u8; 8]) -> u64 {
-        u64::from_le_bytes(bytes)
-    }
-
     #[test]
-    fn max_u8x8_handles_high_bit_lanes() {
-        // Lanes crossing the 0x80 boundary in every combination.
-        let x = packed([0x00, 0x7F, 0x80, 0xFF, 0x01, 0xFE, 0x3D, 0x80]);
-        let y = packed([0xFF, 0x80, 0x7F, 0x00, 0x01, 0xFF, 0x3C, 0x81]);
-        let want = packed([0xFF, 0x80, 0x80, 0xFF, 0x01, 0xFF, 0x3D, 0x81]);
-        assert_eq!(max_u8x8(x, y), want);
-        assert_eq!(max_u8x8(y, x), want);
-    }
-
-    #[test]
-    fn max_u8x8_exhaustive_single_lane() {
-        // Every (a, b) byte pair in lane 3, junk in the neighbours to catch
-        // cross-lane borrows.
-        for a in 0..=255u8 {
-            for b in 0..=255u8 {
-                let x = packed([0xFF, 0x00, 0x80, a, 0x7F, 0x01, 0x00, 0xFF]);
-                let y = packed([0x00, 0xFF, 0x7F, b, 0x80, 0x01, 0xFF, 0x00]);
-                let got = max_u8x8(x, y).to_le_bytes()[3];
-                assert_eq!(got, a.max(b), "a={a} b={b}");
-            }
-        }
-    }
-
-    #[test]
-    fn swar_merge_matches_scalar_with_tail() {
-        // 19 bytes: two full words plus a 3-byte scalar tail.
+    fn lane_merge_matches_scalar_with_tail() {
+        // 19 bytes: one full lane block plus a 3-byte scalar tail.
         let src: Vec<u8> = (0..19).map(|i| (i * 37 + 11) as u8).collect();
         let base: Vec<u8> = (0..19).map(|i| (200 - i * 13) as u8).collect();
         let mut scalar = base.clone();
         merge_max_scalar(&mut scalar, &src);
-        let mut swar = base.clone();
-        merge_max_swar(&mut swar, &src);
-        assert_eq!(swar, scalar);
         let mut lanes = base.clone();
         merge_max_lanes(&mut lanes, &src);
         assert_eq!(lanes, scalar);
         let mut dispatched = base.clone();
         merge_max(&mut dispatched, &src);
         assert_eq!(dispatched, scalar);
-    }
-
-    #[test]
-    fn avx2_path_matches_scalar_when_available() {
-        let src: Vec<u8> = (0..100).map(|i| (i * 71 + 3) as u8).collect();
-        let base: Vec<u8> = (0..100).map(|i| (i * 29 + 150) as u8).collect();
-        let mut scalar = base.clone();
-        merge_max_scalar(&mut scalar, &src);
-        let mut wide = base.clone();
-        if try_merge_max_avx2(&mut wide, &src) {
-            assert_eq!(wide, scalar);
-        } else {
-            // Path compiled out or CPU lacks AVX2: acc must be untouched.
-            assert_eq!(wide, base);
-        }
     }
 }

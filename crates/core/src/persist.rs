@@ -14,11 +14,14 @@
 //!   (64-byte-aligned header, offset, and entry sections). The file **is**
 //!   the in-memory arena, so loading borrows it wholesale: one bulk read,
 //!   or a zero-copy memory map under `--features mmap`, with **no
-//!   per-node allocation**. Version-1 (unaligned) files still load.
-//! * [`FrozenApproxOracle`]: `"IPFA"` v3 — the register arena image
-//!   verbatim (aligned header, node-major register, tile-major register,
-//!   and per-node estimate sections), borrowed the same way. Version-1/2
-//!   files still load, their derived sections recomputed.
+//!   per-node allocation**.
+//! * [`FrozenApproxOracle`]: `"IPFA"` v4 — the register arena image
+//!   verbatim (aligned header, node-major register, and per-node estimate
+//!   sections), borrowed the same way.
+//!
+//! Each frozen format has exactly one readable version: a file of any
+//! other version is rejected ([`CodecError::BadVersion`] /
+//! [`CodecError::FutureVersion`]) before any of its body is decoded.
 //!
 //! Formats are little-endian and validated on read (magic, version,
 //! precision, per-sketch/per-summary invariants) via [`CodecError`].
@@ -229,22 +232,19 @@ impl ExactIrs {
     }
 }
 
-/// Current `IPFE` layout version. Version 1 packed the sections directly
-/// after the header; version 2 (this build) starts every section on a
+/// The one readable `IPFE` layout version: every section starts on a
 /// 64-byte boundary so the file image **is** the in-memory arena — loads
-/// borrow it wholesale (zero-copy under `--features mmap`). Version-1
-/// files remain loadable (decoded and re-framed into a v2 image); versions
-/// beyond 2 are rejected as [`CodecError::FutureVersion`].
+/// borrow it wholesale (zero-copy under `--features mmap`). Older versions
+/// are rejected as [`CodecError::BadVersion`], newer ones as
+/// [`CodecError::FutureVersion`].
 pub const FROZEN_EXACT_LAYOUT_VERSION: u8 = layout::EXACT_VERSION;
 
-/// Current `IPFA` layout version. Version 1 stored only the node-major
-/// register arena; version 2 appended the register-transposed (tile-major)
-/// section; version 3 (this build) aligns every section to 64 bytes and
-/// appends the per-node estimate table, making the file image identical to
-/// the in-memory arena. Versions 1 and 2 remain loadable (derived sections
-/// are recomputed); versions beyond 3 are rejected as
-/// [`CodecError::FutureVersion`]. Local to the frozen formats — every
-/// other codec stays at the workspace-wide [`FORMAT_VERSION`].
+/// The one readable `IPFA` layout version: 64-byte-aligned node-major
+/// registers followed by the per-node estimate table, the file image
+/// identical to the in-memory arena. Older versions are rejected as
+/// [`CodecError::BadVersion`], newer ones as [`CodecError::FutureVersion`].
+/// Local to the frozen formats — every other codec stays at the
+/// workspace-wide [`FORMAT_VERSION`].
 pub const FROZEN_APPROX_LAYOUT_VERSION: u8 = layout::APPROX_VERSION;
 
 impl FrozenExactOracle {
@@ -257,16 +257,15 @@ impl FrozenExactOracle {
     }
 
     /// Reads an arena written by [`write_to`](Self::write_to) (layout
-    /// version 2) or by the pre-alignment writer (version 1).
+    /// version 2).
     ///
-    /// A v2 image is adopted wholesale after *structural* validation —
+    /// The image is adopted wholesale after *structural* validation —
     /// magic, version, section framing, monotone offsets — with **no
     /// per-node work and no decode pass**. The deeper per-entry invariants
     /// (sorted summaries, no self-entries, targets inside the universe)
     /// are deliberately left to an explicit [`validate`] call, which the
     /// layered [`open_layered`] paths and the CLI loaders make; callers
-    /// handing queries untrusted bytes should do the same. A v1 file is
-    /// decoded, deep-checked, and re-framed into a canonical v2 image.
+    /// handing queries untrusted bytes should do the same.
     ///
     /// [`validate`]: FrozenExactOracle::validate
     /// [`open_layered`]: LayeredExactOracle::open_layered
@@ -294,7 +293,6 @@ impl FrozenExactOracle {
         }
         let [version] = read_array::<1>(&mut r)?;
         match version {
-            1 => return Self::read_v1_body(&mut r),
             layout::EXACT_VERSION => {}
             v if v > layout::EXACT_VERSION => return Err(CodecError::FutureVersion(v)),
             v => return Err(CodecError::BadVersion(v)),
@@ -327,75 +325,27 @@ impl FrozenExactOracle {
         }
         Ok(FrozenExactOracle::from_image(window, n, total, data))
     }
-
-    /// Decodes the body of a layout-version-1 file (sections packed
-    /// directly after the header) with the deep per-entry checks the v1
-    /// reader always made, then re-frames it into a canonical v2 image.
-    fn read_v1_body(r: &mut impl Read) -> Result<Self, CodecError> {
-        let window = Window::try_new(i64::from_le_bytes(read_array(r)?))
-            .map_err(|_| CodecError::Corrupt("window must be positive"))?;
-        let n = u32::from_le_bytes(read_array(r)?) as usize; // xtask-allow: no-lossy-cast (u32 → usize widens on ≥32-bit targets)
-        let total = u64::from_le_bytes(read_array(r)?);
-        if total > u64::from(u32::MAX) {
-            return Err(CodecError::Corrupt("entry count exceeds arena limit"));
-        }
-        let total = usize::try_from(total)
-            .map_err(|_| CodecError::Corrupt("entry count exceeds arena limit"))?;
-        let mut bytes = vec![0u8; (n + 1) * 4];
-        r.read_exact(&mut bytes)?;
-        let mut offsets = Vec::with_capacity(n + 1);
-        for c in bytes.chunks_exact(4) {
-            offsets.push(u32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-        }
-        let last = offsets.last().map(|&e| e as usize); // xtask-allow: no-lossy-cast (u32 fits usize)
-        if offsets.first() != Some(&0) || last != Some(total) {
-            return Err(CodecError::Corrupt("offsets do not frame the entries"));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(CodecError::Corrupt("offsets not monotone"));
-        }
-        let mut bytes = vec![0u8; total * 12];
-        r.read_exact(&mut bytes)?;
-        let mut entries = Vec::with_capacity(total);
-        for c in bytes.chunks_exact(12) {
-            let v = NodeId(u32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-            if v.index() >= n {
-                return Err(CodecError::Corrupt("entry outside universe"));
-            }
-            let t = Timestamp(i64::from_le_bytes([
-                c[4], c[5], c[6], c[7], c[8], c[9], c[10], c[11],
-            ]));
-            entries.push((v, t));
-        }
-        let arena = FrozenExactOracle::from_parts(window, offsets, entries);
-        arena
-            .validate()
-            .map_err(|_| CodecError::Corrupt("frozen summary violates paper invariants"))?;
-        Ok(arena)
-    }
 }
 
 impl FrozenApproxOracle {
-    /// Writes the arena in `IPFA` v3 format — one bulk write of the
-    /// in-memory image (64-byte-aligned header, node-major register,
-    /// tile-major register, and per-node estimate sections).
+    /// Writes the arena in `IPFA` v4 format — one bulk write of the
+    /// in-memory image (64-byte-aligned header, node-major register, and
+    /// per-node estimate sections).
     pub fn write_to(&self, w: &mut impl Write) -> Result<(), CodecError> {
         w.write_all(self.image())?;
         Ok(())
     }
 
     /// Reads an arena written by [`write_to`](Self::write_to) (layout
-    /// version 3) or by the earlier writers (versions 1 and 2).
+    /// version 4).
     ///
-    /// A v3 image is adopted wholesale after *structural* validation —
+    /// The image is adopted wholesale after *structural* validation —
     /// magic, version, precision range, section framing — with **no
     /// per-node work**. The per-byte invariants (register range, the
-    /// derived tile-major and estimate sections matching the registers)
-    /// are deliberately left to an explicit [`validate`] call, which the
-    /// layered [`open_layered`] paths and the CLI loaders make; callers
-    /// handing queries untrusted bytes should do the same. v1/v2 files
-    /// are decoded with their original deep checks and their derived
-    /// sections recomputed into a canonical v3 image.
+    /// stored estimates matching the registers) are deliberately left to
+    /// an explicit [`validate`] call, which the layered [`open_layered`]
+    /// paths and the CLI loaders make; callers handing queries untrusted
+    /// bytes should do the same.
     ///
     /// [`validate`]: FrozenApproxOracle::validate
     /// [`open_layered`]: LayeredApproxOracle::open_layered
@@ -423,7 +373,6 @@ impl FrozenApproxOracle {
         }
         let [version, precision] = read_array::<2>(&mut r)?;
         match version {
-            1 | 2 => return Self::read_legacy_body(version, precision, &mut r),
             layout::APPROX_VERSION => {}
             v if v > layout::APPROX_VERSION => return Err(CodecError::FutureVersion(v)),
             v => return Err(CodecError::BadVersion(v)),
@@ -433,44 +382,13 @@ impl FrozenApproxOracle {
         }
         let n = u32::from_le_bytes(read_array(&mut r)?) as usize; // xtask-allow: no-lossy-cast (u32 → usize widens on ≥32-bit targets)
         let beta = 1usize << precision;
-        let (_, _, _, image_len) = layout::approx_sections(n, beta);
+        let (_, _, image_len) = layout::approx_sections(n, beta);
         if data.len() != image_len {
             return Err(CodecError::Corrupt(
                 "arena length disagrees with its header",
             ));
         }
         Ok(FrozenApproxOracle::from_image(precision, n, data))
-    }
-
-    /// Decodes the body of a layout-version-1/2 file (unaligned register
-    /// sections after the header) with the deep checks those readers
-    /// always made — register range, and for v2 the stored transposed
-    /// section matching the node-major registers — then recomputes the
-    /// derived sections into a canonical v3 image.
-    fn read_legacy_body(version: u8, precision: u8, r: &mut impl Read) -> Result<Self, CodecError> {
-        if !(4..=16).contains(&precision) {
-            return Err(CodecError::Corrupt("precision out of range"));
-        }
-        let n = u32::from_le_bytes(read_array(r)?) as usize; // xtask-allow: no-lossy-cast (u32 → usize widens on ≥32-bit targets)
-        let beta = 1usize << precision;
-        let max_rho = 64 - precision + 1;
-        let mut registers = vec![0u8; n * beta];
-        r.read_exact(&mut registers)?;
-        if registers.iter().any(|&b| b > max_rho) {
-            return Err(CodecError::Corrupt("register exceeds maximal rho"));
-        }
-        if version == 2 {
-            let mut transposed = vec![0u8; n * beta];
-            r.read_exact(&mut transposed)?;
-            if transposed != crate::frozen::transpose_registers(precision, &registers) {
-                return Err(CodecError::Corrupt(
-                    "transposed section does not match the node-major registers",
-                ));
-            }
-        }
-        Ok(FrozenApproxOracle::from_registers_arena(
-            precision, registers,
-        ))
     }
 }
 
@@ -932,98 +850,15 @@ mod tests {
     }
 
     #[test]
-    fn frozen_approx_v1_file_still_loads() {
-        let irs = ApproxIrs::compute_with_precision(&network(), Window(100), 7);
-        let frozen = irs.freeze();
-        // A layout-version-1 file: header with version byte 1, node-major
-        // registers, no transposed section — exactly what PR 5 wrote.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(b"IPFA");
-        v1.extend_from_slice(&[1, frozen.precision()]);
-        v1.extend_from_slice(&u32::try_from(frozen.num_nodes()).unwrap().to_le_bytes());
-        v1.extend_from_slice(frozen.registers());
-        let back = FrozenApproxOracle::read_from(&mut v1.as_slice()).unwrap();
-        assert_eq!(back, frozen); // derived sections recomputed on load
-    }
-
-    #[test]
-    fn frozen_approx_v2_file_still_loads() {
-        let irs = ApproxIrs::compute_with_precision(&network(), Window(100), 7);
-        let frozen = irs.freeze();
-        // A layout-version-2 file: unaligned node-major then tile-major
-        // register sections directly after the header — what PR 7 wrote.
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(b"IPFA");
-        v2.extend_from_slice(&[2, frozen.precision()]);
-        v2.extend_from_slice(&u32::try_from(frozen.num_nodes()).unwrap().to_le_bytes());
-        v2.extend_from_slice(frozen.registers());
-        v2.extend_from_slice(frozen.transposed());
-        let back = FrozenApproxOracle::read_from(&mut v2.as_slice()).unwrap();
-        assert_eq!(back, frozen);
-    }
-
-    #[test]
-    fn frozen_exact_v1_file_still_loads() {
-        let frozen = ExactIrs::compute(&network(), Window(300)).freeze();
-        // A layout-version-1 file: offsets and entries packed directly
-        // after the header, no alignment padding — what PR 5 wrote.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(b"IPFE");
-        v1.push(1);
-        v1.extend_from_slice(&frozen.window().get().to_le_bytes());
-        v1.extend_from_slice(&u32::try_from(frozen.num_nodes()).unwrap().to_le_bytes());
-        v1.extend_from_slice(&u64::try_from(frozen.total_entries()).unwrap().to_le_bytes());
-        for o in frozen.offsets() {
-            v1.extend_from_slice(&o.to_le_bytes());
-        }
-        for (v, t) in frozen.entries() {
-            v1.extend_from_slice(&v.0.to_le_bytes());
-            v1.extend_from_slice(&t.get().to_le_bytes());
-        }
-        let back = FrozenExactOracle::read_from(&mut v1.as_slice()).unwrap();
-        assert_eq!(back, frozen); // re-framed into the canonical v2 image
-    }
-
-    #[test]
-    fn frozen_approx_truncated_transposed_rejected() {
-        let irs = ApproxIrs::compute_with_precision(&network(), Window(100), 7);
-        let frozen = irs.freeze();
-        let mut bytes = Vec::new();
-        frozen.write_to(&mut bytes).unwrap();
-        // Chop half of the transposed section: the header promises the
-        // full aligned section layout, so the structural length check must
-        // fail the load — no silent fallback to recomputing.
-        bytes.truncate(bytes.len() - frozen.transposed().len() / 2);
-        assert!(FrozenApproxOracle::read_from(&mut bytes.as_slice()).is_err());
-    }
-
-    #[test]
-    fn frozen_approx_mismatched_transposed_fails_validate() {
-        let irs = ApproxIrs::compute_with_precision(&network(), Window(100), 7);
-        let frozen = irs.freeze();
-        let mut bytes = Vec::new();
-        frozen.write_to(&mut bytes).unwrap();
-        // Flip a byte inside the transposed section only (keep it within
-        // the valid register range). The structural load accepts the image;
-        // the explicit deep check — which every untrusted-file path makes —
-        // must catch the disagreement with the node-major registers.
-        let beta = 1usize << frozen.precision();
-        let (_, trans_at, _, _) = layout::approx_sections(frozen.num_nodes(), beta);
-        bytes[trans_at] = if bytes[trans_at] == 1 { 2 } else { 1 };
-        let back = FrozenApproxOracle::read_from(&mut bytes.as_slice()).unwrap();
-        assert!(back.validate().is_err());
-    }
-
-    #[test]
     fn frozen_approx_future_layout_version_rejected() {
         let irs = ApproxIrs::compute_with_precision(&network(), Window(100), 7);
         let frozen = irs.freeze();
         let mut bytes = Vec::new();
         frozen.write_to(&mut bytes).unwrap();
-        bytes[4] = 4; // one past FROZEN_APPROX_LAYOUT_VERSION
+        bytes[4] = 5; // one past FROZEN_APPROX_LAYOUT_VERSION
         assert!(matches!(
             FrozenApproxOracle::read_from(&mut bytes.as_slice()),
-            Err(CodecError::FutureVersion(4))
+            Err(CodecError::FutureVersion(5))
         ));
         bytes[4] = 0; // below the oldest layout ever written
         assert!(matches!(
@@ -1056,6 +891,59 @@ mod tests {
             FrozenExactOracle::read_from(&mut bytes.as_slice()),
             Err(CodecError::BadVersion(0))
         ));
+
+        // An IPFE v1 image: offsets and entries packed directly after the
+        // header, no alignment padding. Superseded, so never decoded.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(b"IPFE");
+        v1.push(1);
+        v1.extend_from_slice(&frozen.window().get().to_le_bytes());
+        v1.extend_from_slice(&u32::try_from(frozen.num_nodes()).unwrap().to_le_bytes());
+        v1.extend_from_slice(&u64::try_from(frozen.total_entries()).unwrap().to_le_bytes());
+        for o in frozen.offsets() {
+            v1.extend_from_slice(&o.to_le_bytes());
+        }
+        for (v, t) in frozen.entries() {
+            v1.extend_from_slice(&v.0.to_le_bytes());
+            v1.extend_from_slice(&t.get().to_le_bytes());
+        }
+        assert!(matches!(
+            FrozenExactOracle::read_from(&mut v1.as_slice()),
+            Err(CodecError::BadVersion(1))
+        ));
+
+        // IPFA v1 (unaligned node-major registers), v2 (plus an unaligned
+        // tile-major copy) and v3 (aligned registers, tile-major copy and
+        // estimates): every superseded approx layout is rejected.
+        let approx = ApproxIrs::compute_with_precision(&network(), Window(100), 7).freeze();
+        let n = approx.num_nodes();
+        let regs = approx.registers();
+        let header = |version: u8| {
+            let mut h = b"IPFA".to_vec();
+            h.extend_from_slice(&[version, approx.precision()]);
+            h.extend_from_slice(&u32::try_from(n).unwrap().to_le_bytes());
+            h
+        };
+        let mut v1 = header(1);
+        v1.extend_from_slice(regs);
+        let mut v2 = header(2);
+        v2.extend_from_slice(regs);
+        v2.extend_from_slice(regs);
+        let mut v3 = header(3);
+        for section in [regs, regs] {
+            v3.resize(layout::align_up(v3.len()), 0);
+            v3.extend_from_slice(section);
+        }
+        v3.resize(layout::align_up(v3.len()), 0);
+        for u in 0..n {
+            v3.extend_from_slice(&approx.individual(NodeId::from_index(u)).to_le_bytes());
+        }
+        for (version, image) in [(1u8, v1), (2, v2), (3, v3)] {
+            match FrozenApproxOracle::read_from(&mut image.as_slice()) {
+                Err(CodecError::BadVersion(found)) => assert_eq!(found, version),
+                other => panic!("IPFA v{version} must be rejected, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1094,7 +982,7 @@ mod tests {
         // the 10-byte header; max ρ for k = 7 is 58. The structural load
         // accepts the image; the explicit deep check rejects the register.
         let beta = 1usize << frozen.precision();
-        let (regs_at, _, _, _) = layout::approx_sections(frozen.num_nodes(), beta);
+        let (regs_at, _, _) = layout::approx_sections(frozen.num_nodes(), beta);
         bytes[regs_at] = 63;
         let back = FrozenApproxOracle::read_from(&mut bytes.as_slice()).unwrap();
         assert!(back.validate().is_err());

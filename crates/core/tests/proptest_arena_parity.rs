@@ -16,6 +16,7 @@ use infprop_temporal_graph::{InteractionNetwork, NodeId, Window};
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -34,13 +35,19 @@ fn seed_sets() -> impl Strategy<Value = Vec<Vec<NodeId>>> {
     )
 }
 
-/// A per-test scratch directory under the system tmpdir, removed on drop.
+/// A per-case scratch directory under the system tmpdir, removed on drop.
+/// Named by pid, tag and a per-process counter, so concurrently running
+/// tests (and successive cases of one test) never share a directory.
 struct Scratch(PathBuf);
 
 impl Scratch {
     fn new(tag: &str) -> Scratch {
-        let dir =
-            std::env::temp_dir().join(format!("infprop-arena-parity-{}-{tag}", std::process::id()));
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let seq = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "infprop-arena-parity-{}-{tag}-{seq}",
+            std::process::id()
+        ));
         fs::create_dir_all(&dir).unwrap();
         Scratch(dir)
     }

@@ -1,7 +1,7 @@
-//! Parity property tests for the vectorized frozen query kernel (PR 8):
+//! Parity property tests for the vectorized frozen query kernel:
 //!
-//! * the wide-lane merge paths — scalar reference, 16-byte lane blocks,
-//!   portable SWAR words, and the optional AVX2 dispatch — must write
+//! * the merge paths — scalar reference, 16-byte lane blocks, and the
+//!   `merge_max` entry point the query paths call — must write
 //!   **bit-identical** accumulator bytes for arbitrary inputs and lengths
 //!   (including ragged tails the arenas never produce);
 //! * the true batch API (`influence_many_frozen`) must answer
@@ -10,9 +10,7 @@
 //!   networks and seed sets with duplicates — including precision 4, where
 //!   `β = 16` is smaller than the 64-byte merge tile.
 
-use infprop_core::kernel::{
-    max_u8x8, merge_max, merge_max_lanes, merge_max_scalar, merge_max_swar, try_merge_max_avx2,
-};
+use infprop_core::kernel::{merge_max, merge_max_lanes, merge_max_scalar};
 use infprop_core::{ApproxIrs, ExactIrs, InfluenceOracle, LayeredApproxOracle};
 use infprop_temporal_graph::{Interaction, InteractionNetwork, NodeId, Window};
 use proptest::prelude::*;
@@ -44,35 +42,12 @@ proptest! {
     ) {
         let mut scalar = acc.clone();
         merge_max_scalar(&mut scalar, &src);
-        let mut swar = acc.clone();
-        merge_max_swar(&mut swar, &src);
-        prop_assert_eq!(&swar, &scalar);
         let mut lanes = acc.clone();
         merge_max_lanes(&mut lanes, &src);
         prop_assert_eq!(&lanes, &scalar);
         let mut dispatched = acc.clone();
         merge_max(&mut dispatched, &src);
         prop_assert_eq!(&dispatched, &scalar);
-        let mut avx2 = acc.clone();
-        if try_merge_max_avx2(&mut avx2, &src) {
-            prop_assert_eq!(&avx2, &scalar);
-        } else {
-            // Compiled out or unsupported CPU: acc must be untouched.
-            prop_assert_eq!(&avx2, &acc);
-        }
-    }
-
-    /// The packed SWAR byte-max equals the lane-by-lane scalar max for
-    /// arbitrary words (exercises every high-bit/low-bits combination the
-    /// guard-bit subtraction must get right).
-    #[test]
-    fn swar_word_max_matches_scalar_lanes(x in any::<u64>(), y in any::<u64>()) {
-        let got = max_u8x8(x, y).to_le_bytes();
-        let xb = x.to_le_bytes();
-        let yb = y.to_le_bytes();
-        for i in 0..8 {
-            prop_assert_eq!(got[i], xb[i].max(yb[i]), "lane {}", i);
-        }
     }
 
     /// Frozen batch answers == per-query frozen answers == live oracle

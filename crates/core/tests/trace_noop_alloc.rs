@@ -7,18 +7,33 @@
 //! allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use infprop_core::trace::{NoopTracer, SpanId, TraceEvent, TraceId, Tracer};
 
 /// Forwarding allocator that counts every allocation (and reallocation).
+/// Counts on the allocating thread only, so other tests running in
+/// parallel threads of the same binary cannot disturb a measurement.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` init and no destructor: reading it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made so far on the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_allocation() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -27,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -52,7 +67,7 @@ fn noop_tracer_hot_loop_never_allocates() {
     let sp = tracer.begin(TraceId(1), SpanId::NONE, TraceEvent::QueryBatch);
     tracer.end(sp, TraceEvent::QueryBatch, 0);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..100_000u64 {
         let trace = TraceId(tracer.alloc_traces(2));
         let batch = tracer.begin(trace, SpanId::NONE, TraceEvent::QueryBatch);
@@ -64,7 +79,7 @@ fn noop_tracer_hot_loop_never_allocates() {
         assert_eq!(batch, SpanId::NONE);
         assert_eq!(el, SpanId::NONE);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

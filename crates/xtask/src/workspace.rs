@@ -150,10 +150,10 @@ fn collect_crate(
                     unwaivable.push(Rule::NoRawTiming);
                 }
                 // `#![forbid(unsafe_code)]` is non-negotiable in every
-                // crate root except core's, which hosts the two cfg-gated
-                // unsafe modules (the AVX2 kernel behind `simd-avx2`, the
-                // mmap arena behind `mmap`) and downgrades to a reviewed
-                // conditional forbid + waiver there. No other crate can
+                // crate root except core's, which hosts the one cfg-gated
+                // unsafe module (the mmap arena behind `mmap`) and
+                // downgrades to a reviewed conditional forbid + waiver
+                // there. No other crate can
                 // waive its way out of the forbid with a comment.
                 if crate_dir != "core" {
                     unwaivable.push(Rule::ForbidUnsafe);
